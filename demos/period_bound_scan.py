@@ -1,9 +1,9 @@
 # The 6m ceiling on periods.
 #
 # Over all moduli the period never exceeds 6m, and the ceiling is reached
-# exactly at m = 2 * 5^n.  Scan every modulus up to 2500 (batched, so the
-# whole scan is a fraction of a second), confirm the bound, and look at the
-# equality cases.
+# exactly at m = 2 * 5^n.  Scan every modulus up to 2500 (by order-finding,
+# so the whole scan is a fraction of a second), confirm the bound, and look
+# at the equality cases.
 
 from fibrand import expected_equality_moduli, verify_period_bound
 

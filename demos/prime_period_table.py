@@ -14,8 +14,8 @@ for i in range(1, 26):
     rec = pisano_period_prime(nth_prime(i))
     print(f"{rec.modulus:>6} {rec.period:>7}  {rec.ratio_label:<12} {rec.bit:>+5d}")
 
-# The divisor search above never iterates the full sequence; cross-check a
+# The order search above never iterates the full sequence; cross-check a
 # few rows against the definitional brute force.
 for p in (29, 47, 101):
     assert pisano_period_prime(p).period == pisano_period_bruteforce(p)
-print("\ndivisor search agrees with brute-force iteration on 29, 47, 101")
+print("\norder search agrees with brute-force iteration on 29, 47, 101")

@@ -199,9 +199,9 @@ def _verify_oracle(limit: int) -> tuple[bool, str]:
         fast = pisano_period_prime(p).period
         slow = pisano_period_bruteforce(p)
         if fast != slow:
-            return False, f"p={p}: divisor search gives {fast}, iteration gives {slow}"
+            return False, f"p={p}: order search gives {fast}, iteration gives {slow}"
         count += 1
-    return True, f"divisor search matches brute-force iteration on {count} primes"
+    return True, f"order search matches brute-force iteration on {count} primes"
 
 
 _SUITES = {
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
             "table: recompute the first 25 classification rows against the "
             "frozen reference. bound: period <= 6m with equality exactly at "
             "2*5^n. class-theorem: every odd prime's period divides p-1 or "
-            "2p+2 per its last digit. oracle: divisor search equals "
+            "2p+2 per its last digit. oracle: order search equals "
             "brute-force iteration on every odd prime below the limit."
         ),
     )

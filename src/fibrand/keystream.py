@@ -7,7 +7,6 @@ the sign column of the underlying classification.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .arith import GHParams, gh_term
 from .binseq import SequenceKind, prime_indexed_sequence
@@ -27,20 +26,14 @@ class KeyOrigin:
     """Everything needed to regenerate a key deterministically.
 
     ``start`` is the 1-based odd-prime index for PRIME_INDEXED material.
-    ``gh_params`` is reserved for residue-stream material and is None for
-    classification-derived keys.
     """
 
     kind: SequenceKind
     start: int
     count: int
-    gh_params: Optional[GHParams] = None
 
     def describe(self) -> str:
-        desc = f"kind={self.kind.value} start={self.start} count={self.count}"
-        if self.gh_params is not None:
-            desc += f" gh={self.gh_params}"
-        return desc
+        return f"kind={self.kind.value} start={self.start} count={self.count}"
 
 
 @dataclass(frozen=True)
@@ -89,7 +82,7 @@ def gh_residue_stream(
 ) -> list[int]:
     """[GH(start_n), ..., GH(start_n + count - 1)] mod m.
 
-    The first two terms come from the closed-form evaluation; the rest
+    The first two terms come from ``gh_term``'s fast doubling; the rest
     follow the recurrence.
     """
     if count < 1:

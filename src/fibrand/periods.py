@@ -13,7 +13,7 @@ exactly at m = 2 * 5^n.
 
 from dataclasses import dataclass
 from enum import Enum
-from math import isqrt
+from math import lcm
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -47,7 +47,7 @@ class PrimeClass(Enum):
 
 
 class ClassificationError(ArithmeticError):
-    """No divisor of the class bound is a period: a counterexample to the
+    """The class multiple is not a period: a counterexample to the
     two-class structure.  Never observed; raised instead of guessing."""
 
 
@@ -92,65 +92,72 @@ def _check_brute_modulus(m: int) -> None:
 def pisano_period_bruteforce(m: int) -> int:
     """Smallest N >= 1 with F(N) = 0 and F(N+1) = 1 (mod m), by iteration.
 
-    This is the definitional oracle: it walks the residue recurrence until
-    the state pair (0, 1) recurs.
+    The definitional oracle: ``gh_period`` of the Fibonacci seed (0, 1).
     """
-    _check_brute_modulus(m)
-    a, b = 0, 1
-    for k in range(1, 6 * m + 1):
-        a, b = b, (a + b) % m
-        if a == 0 and b == 1:
-            return k
-    raise AssertionError(f"period of {m} exceeds 6m")  # impossible
+    return gh_period((0, 1), m)
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1 by trial division."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
+def _class_multiple(p: int) -> int:
+    """b(p), a multiple of the period of the prime p fixed by its last digit."""
+    if p == 2:
+        return 3
+    if p == 5:
+        return 20
+    return p - 1 if p % 10 in (1, 9) else 2 * p + 2
+
+
+def _period(m: int) -> int:
+    """Period of m >= 2 by order-finding from a proven multiple.
+
+    M = lcm over p^k || m of p^(k-1) * b(p) is a multiple of the period (Wall
+    1960: the period of p^k divides p^(k-1) times that of p; coprime parts
+    combine by lcm).  Stripping each prime of M while (0, 1) still recurs
+    leaves the least such N.
+    """
+    multiple = 1
+    for p, k in _factorize(m).items():
+        multiple = lcm(multiple, p ** (k - 1) * _class_multiple(p))
+    if fib_mod(multiple, m) != (0, 1):
+        raise ClassificationError(f"class multiple {multiple} is not a period of {m}")
+    period = multiple
+    for q in _factorize(multiple):
+        while period % q == 0 and fib_mod(period // q, m) == (0, 1):
+            period //= q
+    return period
 
 
 def pisano_periods_range(m_max: int, m_min: int = 2) -> np.ndarray:
-    """Periods for every modulus in [m_min, m_max], batched.
+    """Periods for every modulus in [m_min, m_max], by order-finding.
 
-    Same pair iteration as the scalar brute force, advanced for all moduli
-    at once; finished moduli are compacted away as they recur.  Returns an
-    int64 array aligned with range(m_min, m_max + 1).
+    Returns an int64 array aligned with range(m_min, m_max + 1).
     """
     _check_brute_modulus(m_min)
     _check_brute_modulus(m_max)
     if m_max < m_min:
         raise ValueError(f"empty modulus range [{m_min}, {m_max}]")
-    mods = np.arange(m_min, m_max + 1, dtype=np.int64)
-    periods = np.zeros(mods.size, dtype=np.int64)
-    pos = np.arange(mods.size)
-    a = np.zeros(mods.size, dtype=np.int64)
-    b = np.ones(mods.size, dtype=np.int64)
-    k = 0
-    while pos.size:
-        k += 1
-        a, b = b, (a + b) % mods
-        done = (a == 0) & (b == 1)
-        if done.any():
-            periods[pos[done]] = k
-            live = ~done
-            pos, mods, a, b = pos[live], mods[live], a[live], b[live]
-        if k > 6 * m_max:
-            raise AssertionError("period exceeds 6m")  # impossible
-    return periods
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-    return small + large[::-1]
+    return np.array([_period(m) for m in range(m_min, m_max + 1)], dtype=np.int64)
 
 
 def pisano_period_prime(p: int) -> PeriodRecord:
     """Period of an odd prime without full iteration.
 
-    The period divides p-1 (last digit 1 or 9) or 2p+2 (last digit 3 or 7),
-    so it is the smallest divisor d of that bound with F(d), F(d+1) = 0, 1.
-    Divisors are tried ascending, which yields minimality for free: any pair
-    recurrence index is a multiple of the true period.
+    The period divides p-1 (last digit 1 or 9) or 2p+2 (last digit 3 or 7);
+    order-finding from that class multiple gives it.  Raises
+    ClassificationError if the class multiple is not a period.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -159,17 +166,13 @@ def pisano_period_prime(p: int) -> PeriodRecord:
     if p == 5:
         return PeriodRecord(5, 20, PrimeClass.SPECIAL_FIVE, "5(p-1)")
     if p % 10 in (1, 9):
-        klass, bound, base = PrimeClass.DIVISOR_OF_P_MINUS_1, p - 1, "p-1"
+        klass, base = PrimeClass.DIVISOR_OF_P_MINUS_1, "p-1"
     else:
-        klass, bound, base = PrimeClass.DIVISOR_OF_2P_PLUS_2, 2 * p + 2, "2p+2"
-    for d in _divisors(bound):
-        if fib_mod(d, p) == (0, 1):
-            ratio = bound // d
-            label = base if ratio == 1 else f"({base})/{ratio}"
-            return PeriodRecord(p, d, klass, label)
-    raise ClassificationError(
-        f"period of {p} divides neither p-1 nor 2p+2"
-    )
+        klass, base = PrimeClass.DIVISOR_OF_2P_PLUS_2, "2p+2"
+    period = _period(p)
+    ratio = _class_multiple(p) // period
+    label = base if ratio == 1 else f"({base})/{ratio}"
+    return PeriodRecord(p, period, klass, label)
 
 
 def gh_period(params: GHParams, m: int) -> int:

@@ -79,10 +79,9 @@ def autocorrelation(seq, convention: Convention = Convention.CIRCULAR) -> Autoco
     vals = _as_pm1_array(seq)
     n = vals.size
     if convention is Convention.CIRCULAR:
-        sums = np.empty(n, dtype=np.int64)
-        doubled = np.concatenate([vals, vals])
-        for k in range(n):
-            sums[k] = vals @ doubled[k : k + n]
+        # circular lag k wraps the truncated lag n-k onto lag k
+        sums = _truncated_lag_sums(vals)
+        sums[1:] += sums[:0:-1]
         c = sums / n
     elif convention is Convention.LINEAR_UNBIASED:
         c = _truncated_lag_sums(vals) / (n - np.arange(n))

@@ -3,7 +3,9 @@ import pytest
 from fibrand.arith import fib_mod, sieve_primes
 from fibrand.periods import (
     BRUTE_FORCE_MODULUS_CAP,
+    ClassificationError,
     PrimeClass,
+    _class_multiple,
     expected_equality_moduli,
     gh_period,
     pisano_period_bruteforce,
@@ -51,6 +53,22 @@ class TestBatchedRange:
         periods = pisano_periods_range(300)
         for m, n in zip(range(2, 301), periods):
             assert int(n) == pisano_period_bruteforce(m)
+        # prime powers and 2 * 5^n, where the multiple p^(k-1) * b(p) is
+        # stripped down to the true period
+        powers = [
+            base**k
+            for base, top in ((2, 16), (3, 9), (5, 6), (7, 5))
+            for k in range(2, top + 1)
+        ]
+        powers += [2 * 5**k for k in range(1, 7)]
+        for m in powers:
+            assert list(pisano_periods_range(m, m_min=m)) == [
+                pisano_period_bruteforce(m)
+            ], m
+        window = pisano_periods_range(60015, m_min=60000)
+        assert [int(n) for n in window] == [
+            pisano_period_bruteforce(m) for m in range(60000, 60016)
+        ]
 
     def test_offset_range(self):
         periods = pisano_periods_range(250, m_min=240)
@@ -116,6 +134,16 @@ class TestPrimeClassification:
             if p == 2:
                 continue
             assert pisano_period_prime(p).period <= p * p - 1
+
+    @pytest.mark.parametrize("p", [3, 7, 11, 13, 59])
+    def test_wrong_class_multiple_raises(self, monkeypatch, p):
+        # half the true multiple is not a multiple of the period here, so
+        # the engine must refuse rather than return a wrong period
+        monkeypatch.setattr(
+            "fibrand.periods._class_multiple", lambda q: _class_multiple(q) // 2
+        )
+        with pytest.raises(ClassificationError):
+            pisano_period_prime(p)
 
     @pytest.mark.parametrize("p", [2, 4, 9, 91, 1])
     def test_rejects_non_candidates(self, p):

@@ -65,8 +65,10 @@ class TestAutocorrelation:
 
     @pytest.mark.parametrize("convention", list(Convention))
     def test_matches_double_loop(self, rng, convention):
-        for _ in range(25):
-            vals = random_pm1(rng, rng.randrange(2, 40))
+        # n = 2 (lag 1 is its own wrap n-k) and n = 3 (lags 1 and 2 wrap
+        # onto each other)
+        fixed = [[1, -1], [1, 1], [1, -1, -1], [-1, 1, 1]]
+        for vals in fixed + [random_pm1(rng, rng.randrange(2, 40)) for _ in range(25)]:
             got = autocorrelation(vals, convention).values
             want = brute_autocorr(vals, convention)
             assert got.tolist() == want  # same exact integer sums, same division
