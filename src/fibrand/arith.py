@@ -96,21 +96,28 @@ def sieve_primes(limit: int) -> list[int]:
     return [int(p) for p in np.flatnonzero(flags)]
 
 
-# Cache of odd primes (3, 5, 7, 11, ...), grown on demand.
+# Cache of odd primes (3, 5, 7, 11, ...), grown on demand.  The list is never
+# mutated: growing it builds a new list and rebinds the name in one step, so a
+# reader that took the list into a local keeps a consistent prefix.  Racing
+# growers may leave a shorter list bound; that costs a later re-sieve, never a
+# wrong answer.
 _odd_primes: list[int] = []
 
 
-def _ensure_odd_primes(count: int) -> None:
-    if len(_odd_primes) >= count:
-        return
+def _odd_primes_upto(count: int) -> list[int]:
+    """A list of at least ``count`` odd primes, ascending."""
+    global _odd_primes
+    primes = _odd_primes
+    if len(primes) >= count:
+        return primes
     # k-th odd prime is the (k+1)-th prime; p_k < k(ln k + ln ln k) for k >= 6
     k = count + 1
     limit = 32 if k < 6 else int(k * (log(k) + log(log(k)))) + 16
     while True:
-        primes = sieve_primes(limit)
-        if len(primes) - 1 >= count:
-            _odd_primes[:] = primes[1:]
-            return
+        primes = sieve_primes(limit)[1:]
+        if len(primes) >= count:
+            _odd_primes = primes
+            return primes
         limit *= 2
 
 
@@ -122,8 +129,7 @@ def nth_prime(k: int) -> int:
     """
     if k < 1:
         raise ValueError(f"prime index must be >= 1, got {k}")
-    _ensure_odd_primes(k)
-    return _odd_primes[k - 1]
+    return _odd_primes_upto(k)[k - 1]
 
 
 def _check_modulus(m: int) -> None:

@@ -120,8 +120,11 @@ def _class_multiple(p: int) -> int:
     return p - 1 if p % 10 in (1, 9) else 2 * p + 2
 
 
-def _period(m: int) -> int:
+def _period(m: int, factors: dict[int, int]) -> int:
     """Period of m >= 2 by order-finding from a proven multiple.
+
+    ``factors`` is m as {prime: exponent}; a caller that has already proven m
+    prime passes {m: 1} instead of trial-dividing it again.
 
     M = lcm over p^k || m of p^(k-1) * b(p) is a multiple of the period (Wall
     1960: the period of p^k divides p^(k-1) times that of p; coprime parts
@@ -129,7 +132,7 @@ def _period(m: int) -> int:
     leaves the least such N.
     """
     multiple = 1
-    for p, k in _factorize(m).items():
+    for p, k in factors.items():
         multiple = lcm(multiple, p ** (k - 1) * _class_multiple(p))
     if fib_mod(multiple, m) != (0, 1):
         raise ClassificationError(f"class multiple {multiple} is not a period of {m}")
@@ -149,7 +152,9 @@ def pisano_periods_range(m_max: int, m_min: int = 2) -> np.ndarray:
     _check_brute_modulus(m_max)
     if m_max < m_min:
         raise ValueError(f"empty modulus range [{m_min}, {m_max}]")
-    return np.array([_period(m) for m in range(m_min, m_max + 1)], dtype=np.int64)
+    return np.array(
+        [_period(m, _factorize(m)) for m in range(m_min, m_max + 1)], dtype=np.int64
+    )
 
 
 def pisano_period_prime(p: int) -> PeriodRecord:
@@ -169,7 +174,7 @@ def pisano_period_prime(p: int) -> PeriodRecord:
         klass, base = PrimeClass.DIVISOR_OF_P_MINUS_1, "p-1"
     else:
         klass, base = PrimeClass.DIVISOR_OF_2P_PLUS_2, "2p+2"
-    period = _period(p)
+    period = _period(p, {p: 1})
     ratio = _class_multiple(p) // period
     label = base if ratio == 1 else f"({base})/{ratio}"
     return PeriodRecord(p, period, klass, label)

@@ -6,9 +6,12 @@ of two conventions:
 * CIRCULAR: indices wrap mod n; the sum always has n terms.
 * LINEAR_UNBIASED: the sum stops at j = n-1-k and is divided by n-k.
 
-The lag-k sums are accumulated in exact integer arithmetic (the values are
-+1/-1) and divided once, so each C(k) is within one ulp of the true
-rational value.
+The lag-k sums are exact integers (the values are +1/-1), divided once, so
+each C(k) is within one ulp of the true rational value.  They come from one
+real FFT pair in O(n log n), rounded to integers and checked for exactness at
+run time, by whole-vector invariants of a +1/-1 vector and by direct dot
+products at three fixed lags; if a check fails, the O(n^2) direct sums are
+used instead.
 
 R(x) = 1 - mean(|C(k)|, k = 1..n-1): 0 for a constant sequence, approaching
 1 for an ideal random one.
@@ -62,13 +65,64 @@ def _as_pm1_array(seq) -> np.ndarray:
     return vals
 
 
-def _truncated_lag_sums(vals: np.ndarray) -> np.ndarray:
-    """s_k = sum_{j < n-k} B(j) B(j+k) for k = 0..n-1, as exact integers."""
+def _direct_lag_sums(vals: np.ndarray) -> np.ndarray:
+    """s_k = sum_{j < n-k} B(j) B(j+k) for k = 0..n-1, one dot product per lag.
+
+    O(n^2); the fallback of ``_truncated_lag_sums`` and its test oracle.
+    """
     n = vals.size
     sums = np.empty(n, dtype=np.int64)
     for k in range(n):
         sums[k] = vals[: n - k] @ vals[k:]
     return sums
+
+
+def _fft_length(m: int) -> int:
+    """The least 2^a 3^b 5^c >= m: a length numpy's FFT handles fast."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _truncated_lag_sums(vals: np.ndarray) -> np.ndarray:
+    """s_k = sum_{j < n-k} B(j) B(j+k) for k = 0..n-1, as exact integers.
+
+    One real FFT pair gives every s_k in O(n log n): the inverse transform of
+    the power spectrum of B, zero-padded to at least 2n-1 so that no lag
+    wraps.  The rounded sums are returned only if every exactness check
+    holds: each raw value lies within 1/4 of its integer, s_0 = n, each s_k
+    has the parity of n-k and |s_k| <= n-k (true of any +1/-1 vector), and
+    direct dot products agree at lags 1, n//2 and n-1.  Otherwise the direct
+    sums are returned.
+    """
+    n = vals.size
+    size = _fft_length(2 * n - 1)
+    spec = np.fft.rfft(vals.astype(np.float64), size)
+    power = spec.real**2
+    power += spec.imag**2
+    del spec
+    raw = np.fft.irfft(power, size)[:n]
+    del power
+    sums = np.rint(raw)
+    exact = np.abs(raw - sums).max() < 0.25
+    del raw
+    sums = sums.astype(np.int64)
+    overlap = np.arange(n, 0, -1)
+    if (
+        exact
+        and sums[0] == n
+        and not np.any((sums - overlap) % 2)
+        and np.all(np.abs(sums) <= overlap)
+        and all(sums[k] == vals[: n - k] @ vals[k:] for k in (1, n // 2, n - 1))
+    ):
+        return sums
+    return _direct_lag_sums(vals)
 
 
 def autocorrelation(seq, convention: Convention = Convention.CIRCULAR) -> AutocorrProfile:
@@ -112,5 +166,5 @@ def aperiodic_randomness(seq) -> float:
 def profile_csv(profile: AutocorrProfile) -> str:
     """CSV rows "k,C(k)" with values at 17 significant digits."""
     lines = ["k,C(k)"]
-    lines.extend(f"{k},{v:.17g}" for k, v in enumerate(profile.values))
+    lines.extend(f"{k},{v:.17g}" for k, v in enumerate(profile.values.tolist()))
     return "\n".join(lines)

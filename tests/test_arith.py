@@ -1,7 +1,10 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
 
 import pytest
 
+from fibrand import arith
 from fibrand.arith import (
     FibPair,
     binet_fib_mod,
@@ -82,6 +85,28 @@ class TestPrimeEnumeration:
         p = nth_prime(30000)
         assert is_prime(p)
         assert nth_prime(29999) < p
+
+    def test_threads_growing_the_cache(self, monkeypatch):
+        # 8 threads ask for staggered, growing indices from an empty cache, so
+        # growths of different sizes race; a reader must never see another
+        # thread's shorter list or a half-built one.
+        threads, rounds = 8, 40
+        odd = sieve_primes(120000)[1:]
+        monkeypatch.setattr(arith, "_odd_primes", [])
+
+        def ask(t):
+            ks = [(r * threads + t) * 35 + 1 for r in range(rounds)]
+            return [(k, nth_prime(k)) for k in ks + ks[::-3]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                futures = [pool.submit(ask, t) for t in range(threads)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(p == odd[k - 1] for result in results for k, p in result)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_bad_index(self, k):

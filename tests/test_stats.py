@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fibrand import stats
 from fibrand.binseq import prime_indexed_sequence
 from fibrand.stats import (
     AutocorrProfile,
@@ -166,6 +169,98 @@ class TestAperiodicRandomness:
             with pytest.raises(ValueError) as got:
                 aperiodic_randomness(bad)
             assert str(got.value) == str(want.value)
+
+
+def pm1_array(vals):
+    return np.array(vals, dtype=np.int64)
+
+
+@pytest.fixture
+def direct_sums(monkeypatch):
+    """The direct lag sums; a fallback to them inside stats fails the test."""
+    direct = stats._direct_lag_sums
+
+    def fallback(vals):
+        pytest.fail(f"FFT lag sums fell back to direct sums at n = {vals.size}")
+
+    monkeypatch.setattr(stats, "_direct_lag_sums", fallback)
+    return direct
+
+
+class TestLagSums:
+    """FFT lag sums against the O(n^2) direct dot products."""
+
+    @given(st.lists(st.sampled_from((1, -1)), min_size=2, max_size=600))
+    def test_fft_matches_direct(self, vals):
+        v = pm1_array(vals)
+        want = stats._direct_lag_sums(v).tolist()
+        with mock.patch.object(stats, "_direct_lag_sums", side_effect=AssertionError):
+            assert stats._truncated_lag_sums(v).tolist() == want
+
+    @pytest.mark.parametrize(
+        "vals",
+        [
+            [1, -1],
+            [1, 1],
+            [1, -1, -1],
+            [-1, 1, 1],
+            [(-1) ** (j * j // 3) for j in range(4097)],  # 2n-1 = 8193 > 2^13; FFT length 8640
+            [1] * 20000,
+            [(-1) ** j for j in range(20000)],
+        ],
+        ids=["n2-alt", "n2-const", "n3-a", "n3-b", "n4097", "const-2e4", "alt-2e4"],
+    )
+    def test_fixed_cases(self, vals, direct_sums):
+        v = pm1_array(vals)
+        assert stats._truncated_lag_sums(v).tolist() == direct_sums(v).tolist()
+
+    # Each perturbation of the inverse FFT is caught by one check alone: the
+    # distance to the nearest integer, s_0 = n, the parity of n-k, the bound
+    # |s_k| <= n-k (a constant vector has s_k = n-k), and the direct
+    # cross-check at lag n//2.
+    @pytest.mark.parametrize(
+        "const, lag, delta",
+        [(False, 3, 0.4), (False, 0, -2.0), (False, 3, 1.0), (True, 5, 2.0), (False, 32, 2.0)],
+        ids=["rounding", "lag-zero", "parity", "bound", "cross-check"],
+    )
+    def test_falls_back_to_direct_sums(self, monkeypatch, rng, const, lag, delta):
+        v = pm1_array([1] * 64 if const else random_pm1(rng, 64))
+        want = stats._direct_lag_sums(v).tolist()
+        irfft = np.fft.irfft
+
+        def perturbed(*args, **kwargs):
+            out = irfft(*args, **kwargs)
+            out[lag] += delta
+            return out
+
+        fallbacks = []
+
+        def direct(vals):
+            fallbacks.append(vals.size)
+            return pm1_array(want)
+
+        monkeypatch.setattr(stats.np.fft, "irfft", perturbed)
+        monkeypatch.setattr(stats, "_direct_lag_sums", direct)
+        assert stats._truncated_lag_sums(v).tolist() == want
+        assert fallbacks == [64]
+
+    @pytest.mark.parametrize("convention", list(Convention))
+    def test_million_terms_sampled_lags(self, convention, direct_sums):
+        # the CLI's --length cap; direct sums would take about 20 minutes
+        n = 10**6
+        vals = np.random.default_rng(2015).choice(np.array([1, -1]), n)
+        start = time.perf_counter()
+        c = autocorrelation(vals, convention).values
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"{elapsed:.2f} s at n = {n}"
+        lags = [0, 1, 2, 3, n // 3, n // 2, n - 2, n - 1]
+        lags += np.random.default_rng(7).integers(1, n, 16).tolist()
+        for k in lags:
+            if convention is Convention.CIRCULAR:
+                want = int(vals @ np.roll(vals, -k)) / n
+            else:
+                want = int(vals[: n - k] @ vals[k:]) / (n - k)
+            assert c[k] == want, k
 
 
 class TestCsvEmission:
