@@ -4,10 +4,12 @@ Primality testing, enumeration of the odd primes, Fibonacci residues by
 fast doubling, Gopala-Hemachandra terms, and modular square roots (used by
 the closed-form Fibonacci evaluation ``binet_fib_mod``).
 
-Everything here is a pure function of its arguments; all arithmetic is done
-on Python integers, so there is no overflow to worry about.
+Everything here is a pure function of its arguments.  ``_check_int`` is the
+one integer-domain check of the package: it turns numpy integers into Python
+integers, so all arithmetic is done on Python integers and cannot overflow.
 """
 
+import operator
 from math import isqrt, log
 from typing import NamedTuple, Optional
 
@@ -36,19 +38,42 @@ class FibPair(NamedTuple):
     f_n1: int
 
 
-# Witnesses making Miller-Rabin deterministic for all n < 3.3e24,
-# comfortably covering 64-bit inputs.
+def _check_int(value, name: str, lo=None, hi=None) -> int:
+    """``value`` as a Python int; ValueError unless it is an integer in [lo, hi].
+
+    bool and numpy.bool_ are rejected, as is anything without ``__index__``
+    (float, str).  A bound of None is open.
+    """
+    if type(value) is not int:
+        try:
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        if hi is None:
+            raise ValueError(f"{name} must be >= {lo}, got {value}")
+        bound = f"<= {hi}" if lo is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+# The first 12 primes as witnesses make Miller-Rabin deterministic for all
+# n < 318665857834031151167461 (about 3.18e23), covering 64-bit inputs.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
 
 _TRIAL_LIMIT = 1_000_000
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test.
+    """Deterministic primality test for n < 318665857834031151167461.
 
     Trial division below one million, Miller-Rabin with a fixed witness set
-    above it. No probabilistic failures for any input below 3.3e24.
+    above it.  Larger n raise ValueError rather than get a probabilistic answer.
     """
+    n = _check_int(n, "n", hi=_MR_BOUND - 1)
     if n < 2:
         return False
     if n < 4:
@@ -86,6 +111,7 @@ def is_prime(n: int) -> bool:
 
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, ascending, by sieve of Eratosthenes."""
+    limit = _check_int(limit, "limit")
     if limit < 2:
         return []
     flags = np.ones(limit + 1, dtype=bool)
@@ -127,14 +153,8 @@ def nth_prime(k: int) -> int:
     2 is excluded on purpose: the prime-period classification that consumes
     this enumeration is defined over odd primes only.
     """
-    if k < 1:
-        raise ValueError(f"prime index must be >= 1, got {k}")
+    k = _check_int(k, "prime index", 1)
     return _odd_primes_upto(k)[k - 1]
-
-
-def _check_modulus(m: int) -> None:
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
 
 
 def fib_mod(n: int, m: int) -> FibPair:
@@ -143,9 +163,8 @@ def fib_mod(n: int, m: int) -> FibPair:
     F(0) = 0, F(1) = 1.  Uses the identities
     F(2k) = F(k)(2F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2.
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    _check_modulus(m)
+    n = _check_int(n, "index", 0)
+    m = _check_int(m, "modulus", 2)
     a, b = 0, 1  # F(0), F(1)
     for i in range(n.bit_length() - 1, -1, -1):
         c = a * ((2 * b - a) % m) % m
@@ -164,7 +183,8 @@ def gh_term(params: GHParams, n: int, m: int) -> int:
     via GH(n) = a*F(n-1) + b*F(n), where F(-1) = 1 is recovered from the
     fast-doubling pair as F(n+1) - F(n).
     """
-    a, b = params
+    a, b = (_check_int(v, "seed") for v in params)
+    m = _check_int(m, "modulus", 2)
     f_n, f_n1 = fib_mod(n, m)
     f_prev = (f_n1 - f_n) % m
     return (a * f_prev + b * f_n) % m
@@ -177,10 +197,10 @@ def mod_sqrt(a: int, p: int) -> Optional[int]:
     When a root exists the smaller of the two roots is returned, so the
     result is deterministic.
     """
-    if p < 3 or p % 2 == 0:
+    p = _check_int(p, "p", 3)
+    if p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {p}")
-    if not 0 <= a < p:
-        raise ValueError(f"residue must lie in [0, {p}), got {a}")
+    a = _check_int(a, "residue", 0, p - 1)
     if a == 0:
         return 0
     # Euler's criterion
@@ -229,9 +249,9 @@ def binet_fib_mod(n: int, p: int) -> int:
     The root choice does not matter: swapping the two square roots swaps u
     and v, negating both the numerator and the denominator.
     """
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    if p == 5 or p < 3 or p % 2 == 0 or not is_prime(p):
+    n = _check_int(n, "index", 0)
+    p = _check_int(p, "p")
+    if p in (2, 5) or not is_prime(p):
         raise ValueError(f"p must be an odd prime other than 5, got {p}")
     root5 = mod_sqrt(5 % p, p)
     if root5 is None:

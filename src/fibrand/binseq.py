@@ -15,7 +15,9 @@ of pairs, so a global sign flip changes nothing downstream.
 from dataclasses import dataclass
 from enum import Enum
 
-from .arith import nth_prime
+import numpy as np
+
+from .arith import _check_int, nth_prime
 from .periods import pisano_period_prime, pisano_periods_range
 
 __all__ = [
@@ -48,7 +50,10 @@ class BinarySequence:
     def __post_init__(self):
         if not self.values:
             raise ValueError("empty sequence")
-        if any(v not in (1, -1) for v in self.values):
+        if not all(
+            type(v) is not bool and isinstance(v, (int, np.integer)) and v in (1, -1)
+            for v in self.values
+        ):
             raise ValueError("sequence values must be +1 or -1")
 
     @property
@@ -68,10 +73,8 @@ def prime_indexed_sequence(count: int, start_index: int = 1) -> BinarySequence:
     ``start_index`` is 1-based into the odd primes, so the default start is
     p = 3 and index 25 is p = 101.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if start_index < 1:
-        raise ValueError(f"start index must be >= 1, got {start_index}")
+    count = _check_int(count, "count", 1)
+    start_index = _check_int(start_index, "start index", 1)
     bits = tuple(
         pisano_period_prime(nth_prime(i)).bit
         for i in range(start_index, start_index + count)
@@ -85,10 +88,8 @@ def general_moduli_sequence(count: int, start_modulus: int = 2) -> BinarySequenc
     Covers primes and composites alike, starting at the smallest valid
     modulus by default.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if start_modulus < 2:
-        raise ValueError(f"start modulus must be >= 2, got {start_modulus}")
+    count = _check_int(count, "count", 1)
+    start_modulus = _check_int(start_modulus, "start modulus", 2)
     periods = pisano_periods_range(start_modulus + count - 1, start_modulus)
     bits = tuple(1 if n % 8 == 0 else -1 for n in periods)
     return BinarySequence(bits, SequenceKind.GENERAL_MODULI, start_modulus)

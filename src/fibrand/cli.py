@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .arith import nth_prime, sieve_primes
+from .arith import _check_int, nth_prime, sieve_primes
 from .binseq import general_moduli_sequence, prime_indexed_sequence, to_lines
 from .keystream import keygen_from_primes
 from .periods import (
@@ -67,13 +67,6 @@ KNOWN_FIRST_ROWS = (
 )
 
 
-def _check_count(value: int, what: str = "count") -> None:
-    if value < 1:
-        raise ValueError(f"{what} must be >= 1, got {value}")
-    if value > COUNT_CAP:
-        raise ValueError(f"{what} must be <= {COUNT_CAP}, got {value}")
-
-
 def _table_rows(count: int):
     for i in range(1, count + 1):
         rec = pisano_period_prime(nth_prime(i))
@@ -81,7 +74,7 @@ def _table_rows(count: int):
 
 
 def cmd_table(args) -> int:
-    _check_count(args.count)
+    _check_int(args.count, "count", 1, COUNT_CAP)
     rows = list(_table_rows(args.count))
     if args.format == "csv":
         print(CSV_TABLE_HEADER)
@@ -106,7 +99,7 @@ def _build_sequence(kind: str, count: int, start: int | None):
 
 
 def cmd_bits(args) -> int:
-    _check_count(args.count)
+    _check_int(args.count, "count", 1, COUNT_CAP)
     seq = _build_sequence(args.kind, args.count, args.start)
     if args.format == "csv":
         print(",".join(str(v) for v in seq.values))
@@ -116,9 +109,7 @@ def cmd_bits(args) -> int:
 
 
 def cmd_randomness(args) -> int:
-    if args.length < 2:
-        raise ValueError(f"length must be >= 2, got {args.length}")
-    _check_count(args.length, "length")
+    _check_int(args.length, "length", 2, COUNT_CAP)
     convention = Convention(args.convention)
     seq = _build_sequence(args.kind, args.length, args.start)
     profile = autocorrelation(seq, convention)
@@ -139,7 +130,7 @@ def cmd_randomness(args) -> int:
 
 
 def cmd_keygen(args) -> int:
-    _check_count(args.bits, "bits")
+    _check_int(args.bits, "bits", 1, COUNT_CAP)
     key = keygen_from_primes(args.bits, args.start)
     if args.format == "hex":
         print(key.hex())
@@ -153,9 +144,8 @@ def cmd_keygen(args) -> int:
 
 
 def _verify_table() -> tuple[bool, str]:
-    for i, expected in enumerate(KNOWN_FIRST_ROWS, start=1):
-        rec = pisano_period_prime(nth_prime(i))
-        actual = (rec.modulus, rec.period, rec.ratio_label, rec.bit)
+    rows = _table_rows(len(KNOWN_FIRST_ROWS))
+    for i, (actual, expected) in enumerate(zip(rows, KNOWN_FIRST_ROWS), start=1):
         if actual != expected:
             return False, f"row {i}: computed {actual}, reference {expected}"
     return True, f"{len(KNOWN_FIRST_ROWS)} reference rows reproduced"
@@ -204,29 +194,21 @@ def _verify_oracle(limit: int) -> tuple[bool, str]:
     return True, f"order search matches brute-force iteration on {count} primes"
 
 
+# suite name: (check, default --limit); table takes no limit
 _SUITES = {
-    "table": lambda limit: _verify_table(),
-    "bound": _verify_bound,
-    "class-theorem": _verify_class_theorem,
-    "oracle": _verify_oracle,
-}
-
-_SUITE_DEFAULT_LIMITS = {
-    "table": 0,
-    "bound": 10**4,
-    "class-theorem": 10**5,
-    "oracle": 10**4,
+    "table": (lambda limit: _verify_table(), None),
+    "bound": (_verify_bound, 10**4),
+    "class-theorem": (_verify_class_theorem, 10**5),
+    "oracle": (_verify_oracle, 10**4),
 }
 
 
 def cmd_verify(args) -> int:
-    limit = args.limit if args.limit is not None else _SUITE_DEFAULT_LIMITS[args.suite]
+    check, default_limit = _SUITES[args.suite]
+    limit = default_limit if args.limit is None else args.limit
     if args.suite != "table":
-        if limit < 3:
-            raise ValueError(f"limit must be >= 3, got {limit}")
-        if limit > COUNT_CAP:
-            raise ValueError(f"limit must be <= {COUNT_CAP}, got {limit}")
-    ok, detail = _SUITES[args.suite](limit)
+        _check_int(limit, "limit", 3, COUNT_CAP)
+    ok, detail = check(limit)
     status = "pass" if ok else "FAIL"
     print(f"{args.suite}: {status} ({detail})")
     return 0 if ok else 1
@@ -319,9 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
             "brute-force iteration on every odd prime below the limit."
         ),
     )
-    p_verify.add_argument(
-        "--suite", choices=("table", "bound", "class-theorem", "oracle"), required=True
-    )
+    p_verify.add_argument("--suite", choices=list(_SUITES), required=True)
     p_verify.add_argument("--limit", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
 

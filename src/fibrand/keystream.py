@@ -8,7 +8,7 @@ the sign column of the underlying classification.
 
 from dataclasses import dataclass
 
-from .arith import GHParams, gh_term
+from .arith import GHParams, _check_int, gh_term
 from .binseq import SequenceKind, prime_indexed_sequence
 
 __all__ = [
@@ -55,7 +55,8 @@ def keygen_from_primes(count_bits: int, start_prime_index: int = 1) -> KeyMateri
     """Key bits from the prime-indexed sequence, +1 -> 1 and -1 -> 0."""
     seq = prime_indexed_sequence(count_bits, start_prime_index)
     bits = tuple(1 if v == 1 else 0 for v in seq.values)
-    origin = KeyOrigin(SequenceKind.PRIME_INDEXED, start_prime_index, count_bits)
+    start = _check_int(start_prime_index, "start index")  # KeyOrigin holds Python ints
+    origin = KeyOrigin(SequenceKind.PRIME_INDEXED, start, len(bits))
     return KeyMaterial(bits, origin)
 
 
@@ -85,12 +86,10 @@ def gh_residue_stream(
     The first two terms come from ``gh_term``'s fast doubling; the rest
     follow the recurrence.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if start_n < 0:
-        raise ValueError(f"start index must be >= 0, got {start_n}")
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
+    count = _check_int(count, "count", 1)
+    start_n = _check_int(start_n, "start index", 0)
+    m = _check_int(m, "modulus", 2)
+    params = tuple(_check_int(v, "seed") for v in params)
     if params[0] % m == 0 and params[1] % m == 0:
         raise ValueError("zero seed pair generates the degenerate zero sequence")
     a = gh_term(params, start_n, m)

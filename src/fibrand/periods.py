@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .arith import GHParams, fib_mod, is_prime
+from .arith import GHParams, _check_int, fib_mod, is_prime
 
 __all__ = [
     "BRUTE_FORCE_MODULUS_CAP",
@@ -82,13 +82,6 @@ class BoundCheck(NamedTuple):
     equality: bool  # period == 6m
 
 
-def _check_brute_modulus(m: int) -> None:
-    if not 2 <= m <= BRUTE_FORCE_MODULUS_CAP:
-        raise ValueError(
-            f"modulus must be in [2, {BRUTE_FORCE_MODULUS_CAP}], got {m}"
-        )
-
-
 def pisano_period_bruteforce(m: int) -> int:
     """Smallest N >= 1 with F(N) = 0 and F(N+1) = 1 (mod m), by iteration.
 
@@ -148,10 +141,8 @@ def pisano_periods_range(m_max: int, m_min: int = 2) -> np.ndarray:
 
     Returns an int64 array aligned with range(m_min, m_max + 1).
     """
-    _check_brute_modulus(m_min)
-    _check_brute_modulus(m_max)
-    if m_max < m_min:
-        raise ValueError(f"empty modulus range [{m_min}, {m_max}]")
+    m_min = _check_int(m_min, "m_min", 2, BRUTE_FORCE_MODULUS_CAP)
+    m_max = _check_int(m_max, "m_max", m_min, BRUTE_FORCE_MODULUS_CAP)
     return np.array(
         [_period(m, _factorize(m)) for m in range(m_min, m_max + 1)], dtype=np.int64
     )
@@ -164,6 +155,7 @@ def pisano_period_prime(p: int) -> PeriodRecord:
     order-finding from that class multiple gives it.  Raises
     ClassificationError if the class multiple is not a period.
     """
+    p = _check_int(p, "p")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 2:
@@ -188,8 +180,8 @@ def gh_period(params: GHParams, m: int) -> int:
     identity), but can be a proper divisor of it, e.g. seed (2, 1) mod 5 has
     period 4 while the Fibonacci period is 20.
     """
-    _check_brute_modulus(m)
-    a0, b0 = params[0] % m, params[1] % m
+    m = _check_int(m, "modulus", 2, BRUTE_FORCE_MODULUS_CAP)
+    a0, b0 = (_check_int(v, "seed") % m for v in params)
     if a0 == 0 and b0 == 0:
         raise ValueError("zero seed pair generates the degenerate zero sequence")
     a, b = a0, b0

@@ -57,12 +57,13 @@ class AutocorrProfile:
 
 
 def _as_pm1_array(seq) -> np.ndarray:
-    vals = np.asarray(getattr(seq, "values", seq), dtype=np.int64)
+    vals = np.asarray(getattr(seq, "values", seq))
     if vals.ndim != 1 or vals.size < 2:
         raise ValueError("need a one-dimensional sequence of length >= 2")
-    if not np.all(np.abs(vals) == 1):
+    # before the cast, which would turn 1.5 into 1; bool is not an integer dtype
+    if not np.issubdtype(vals.dtype, np.integer) or not np.all(np.abs(vals) == 1):
         raise ValueError("sequence values must be +1 or -1")
-    return vals
+    return vals.astype(np.int64, copy=False)
 
 
 def _direct_lag_sums(vals: np.ndarray) -> np.ndarray:

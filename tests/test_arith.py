@@ -2,6 +2,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from fibrand import arith
@@ -264,3 +265,71 @@ class TestBinetFibMod:
         # 7, 23 end in 3/7 (5 is a non-residue); 21 ends in 1 but is composite
         with pytest.raises(ValueError):
             binet_fib_mod(3, p)
+
+
+class TestIsPrimeBound:
+    # 399165290221 * 798330580441, the least strong pseudoprime to the
+    # witnesses 2..37: the first input those 12 witnesses get wrong
+    PSI_12 = 318665857834031151167461
+
+    def test_raises_at_and_above_the_bound(self):
+        assert 399165290221 * 798330580441 == self.PSI_12
+        for n in (self.PSI_12, self.PSI_12 + 2, 10**30):
+            with pytest.raises(ValueError, match="must be <="):
+                is_prime(n)
+
+    def test_below_the_bound(self):
+        assert is_prime(2**61 - 1)
+        assert not is_prime(self.PSI_12 - 1)  # the largest accepted input
+
+
+class TestIntegerDomain:
+    """Integer arguments: Python or numpy ints; bool, float and str raise."""
+
+    def test_check_int_messages(self):
+        assert arith._check_int(np.int64(7), "m", 2) == 7
+        assert type(arith._check_int(np.uint8(7), "m")) is int
+        with pytest.raises(ValueError, match=r"^m must be >= 2, got 1$"):
+            arith._check_int(1, "m", 2)
+        with pytest.raises(ValueError, match=r"^m must be in \[2, 9\], got 10$"):
+            arith._check_int(np.int32(10), "m", 2, 9)
+        with pytest.raises(ValueError, match=r"^m must be <= 9, got 10$"):
+            arith._check_int(10, "m", hi=9)
+        with pytest.raises(ValueError, match=r"^m must be an integer, got 2.0$"):
+            arith._check_int(2.0, "m")
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, 7.0, np.float64(7), "7", None])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: is_prime(x),
+            lambda x: sieve_primes(x),
+            lambda x: nth_prime(x),
+            lambda x: fib_mod(x, 7),
+            lambda x: fib_mod(5, x),
+            lambda x: gh_term((x, 1), 3, 7),
+            lambda x: gh_term((2, x), 3, 7),
+            lambda x: gh_term((2, 1), x, 7),
+            lambda x: gh_term((2, 1), 3, x),
+            lambda x: mod_sqrt(x, 11),
+            lambda x: mod_sqrt(5, x),
+            lambda x: binet_fib_mod(x, 11),
+            lambda x: binet_fib_mod(3, x),
+        ],
+    )
+    def test_rejects_non_integers(self, call, bad):
+        with pytest.raises(ValueError):
+            call(bad)
+
+    def test_numpy_ints_match_python_ints(self):
+        # int64 products would overflow here; Python ints cannot
+        assert fib_mod(10**6, np.int64(10**12)) == fib_mod(10**6, 10**12)
+        assert fib_mod(np.int64(10**6), 10**12) == fib_mod(10**6, 10**12)
+        big = (np.int64(3), np.int64(5)), np.int64(10**6), np.int64(10**12)
+        assert gh_term(*big) == gh_term((3, 5), 10**6, 10**12)
+        assert type(gh_term(*big)) is int
+        assert mod_sqrt(np.int64(5), np.int64(11)) == mod_sqrt(5, 11)
+        assert binet_fib_mod(np.int64(10), np.int64(11)) == binet_fib_mod(10, 11)
+        assert nth_prime(np.int64(4)) == nth_prime(4) == 11
+        assert is_prime(np.int64(2**61 - 1))
+        assert sieve_primes(np.int16(10)) == [2, 3, 5, 7]

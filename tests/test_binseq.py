@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fibrand.binseq import (
@@ -96,3 +97,35 @@ class TestSerialization:
 
     def test_bit_string_full_column(self):
         assert to_bit_string(prime_indexed_sequence(25)) == "0101001011010001101010101"
+
+
+class TestIntegerDomain:
+    @pytest.mark.parametrize("bad", [True, np.True_, 1.0, np.float64(-1), "1"])
+    def test_sequence_rejects_non_integer_values(self, bad):
+        with pytest.raises(ValueError, match="sequence values must be"):
+            BinarySequence((1, bad, -1), SequenceKind.PRIME_INDEXED, 3)
+
+    def test_sequence_accepts_numpy_ints(self):
+        seq = BinarySequence((np.int64(1), np.int8(-1)), SequenceKind.GENERAL_MODULI, 2)
+        assert to_lines(seq) == "+1\n-1"
+
+    @pytest.mark.parametrize("bad", [True, np.True_, 3.0, "3"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: prime_indexed_sequence(x),
+            lambda x: prime_indexed_sequence(3, x),
+            lambda x: general_moduli_sequence(x),
+            lambda x: general_moduli_sequence(3, x),
+        ],
+    )
+    def test_builders_reject_non_integers(self, call, bad):
+        with pytest.raises(ValueError):
+            call(bad)
+
+    def test_builders_take_numpy_ints(self):
+        seq = prime_indexed_sequence(np.int64(5), np.int32(3))
+        assert seq == prime_indexed_sequence(5, 3)
+        seq = general_moduli_sequence(np.int64(5), np.uint16(7))
+        assert seq == general_moduli_sequence(5, 7)
+        assert type(seq.start) is int

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from fibrand import cli
 from fibrand.cli import main
 
 
@@ -191,3 +193,46 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1] == "3,8,2p+2,-1"
+
+
+class TestVerifyFailure:
+    """Exit code 1: each suite reports FAIL when what it checks is broken."""
+
+    @staticmethod
+    def wrong_period(p, real):
+        rec = real(p)
+        return replace(rec, period=rec.period + 1) if p == 47 else rec
+
+    def test_table(self, capsys, monkeypatch):
+        real = cli.pisano_period_prime
+        monkeypatch.setattr(cli, "pisano_period_prime", lambda p: self.wrong_period(p, real))
+        code, out, _ = run(capsys, "verify", "--suite", "table")
+        assert code == 1
+        assert out.startswith("table: FAIL (row 14: computed (47, 33,")
+
+    def test_bound(self, capsys, monkeypatch):
+        real = cli.verify_period_bound
+
+        def over_bound(limit):
+            checks = real(limit)
+            checks[3] = checks[3]._replace(period=100, bound_met=False)
+            return checks
+
+        monkeypatch.setattr(cli, "verify_period_bound", over_bound)
+        code, out, _ = run(capsys, "verify", "--suite", "bound", "--limit", "250")
+        assert code == 1
+        assert out == "bound: FAIL (m=5: period 100 exceeds 6m)\n"
+
+    def test_class_theorem(self, capsys, monkeypatch):
+        real = cli.pisano_period_prime
+        monkeypatch.setattr(cli, "pisano_period_prime", lambda p: self.wrong_period(p, real))
+        code, out, _ = run(capsys, "verify", "--suite", "class-theorem", "--limit", "100")
+        assert code == 1
+        assert out == "class-theorem: FAIL (p=47: period 33 does not divide 96)\n"
+
+    def test_oracle(self, capsys, monkeypatch):
+        real = cli.pisano_period_bruteforce
+        monkeypatch.setattr(cli, "pisano_period_bruteforce", lambda m: real(m) * (2 if m == 47 else 1))
+        code, out, _ = run(capsys, "verify", "--suite", "oracle", "--limit", "100")
+        assert code == 1
+        assert out == "oracle: FAIL (p=47: order search gives 32, iteration gives 64)\n"

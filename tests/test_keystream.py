@@ -1,5 +1,6 @@
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from fibrand.arith import gh_term
@@ -116,3 +117,34 @@ class TestGhResidueStream:
             gh_residue_stream((2, 1), 1, 4)
         with pytest.raises(ValueError):
             gh_residue_stream((2, 1), 7, 4, start_n=-1)
+
+
+class TestIntegerDomain:
+    @pytest.mark.parametrize("bad", [True, np.True_, 8.0, "8"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: keygen_from_primes(x),
+            lambda x: keygen_from_primes(8, x),
+            lambda x: gh_residue_stream((x, 1), 7, 4),
+            lambda x: gh_residue_stream((2, 1), x, 4),
+            lambda x: gh_residue_stream((2, 1), 7, x),
+            lambda x: gh_residue_stream((2, 1), 7, 4, x),
+        ],
+    )
+    def test_rejects_non_integers(self, call, bad):
+        with pytest.raises(ValueError):
+            call(bad)
+
+    def test_origin_holds_python_ints(self):
+        key = keygen_from_primes(np.int64(16), np.int64(3))
+        assert key == keygen_from_primes(16, 3)
+        assert type(key.origin.start) is int and type(key.origin.count) is int
+        assert key.origin.describe() == "kind=prime-indexed start=3 count=16"
+
+    def test_stream_of_numpy_arguments(self):
+        stream = gh_residue_stream(
+            (np.int64(2), np.int64(1)), np.int64(10**12), np.int64(5), np.int64(10**6)
+        )
+        assert stream == gh_residue_stream((2, 1), 10**12, 5, 10**6)
+        assert all(type(v) is int for v in stream)

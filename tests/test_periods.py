@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fibrand.arith import fib_mod, sieve_primes
@@ -205,3 +206,34 @@ class TestPeriodBound:
     def test_expected_equality_moduli(self):
         assert expected_equality_moduli(9) == []
         assert expected_equality_moduli(10**4) == [10, 50, 250, 1250, 6250]
+
+
+class TestIntegerDomain:
+    @pytest.mark.parametrize("bad", [True, np.True_, 7.0, "7"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: pisano_period_prime(x),
+            lambda x: pisano_period_bruteforce(x),
+            lambda x: pisano_periods_range(x),
+            lambda x: pisano_periods_range(20, x),
+            lambda x: gh_period((x, 1), 7),
+            lambda x: gh_period((2, x), 7),
+            lambda x: gh_period((2, 1), x),
+        ],
+    )
+    def test_rejects_non_integers(self, call, bad):
+        with pytest.raises(ValueError):
+            call(bad)
+
+    def test_float_seed_is_not_iterated(self):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            gh_period((2.5, 1), 7)
+
+    def test_numpy_ints_match_python_ints(self):
+        got = pisano_periods_range(np.int64(300), np.int32(200))
+        assert got.tolist() == pisano_periods_range(300, 200).tolist()
+        rec = pisano_period_prime(np.int64(47))
+        assert rec == pisano_period_prime(47)
+        assert type(rec.modulus) is int
+        assert gh_period((np.int64(2), np.int8(1)), np.int64(5)) == 4

@@ -278,3 +278,34 @@ class TestCsvEmission:
         for line in profile_csv(profile).splitlines()[1:]:
             k, v = line.split(",")
             assert float(v) == profile.values[int(k)]  # 17 digits: lossless
+
+
+class TestPm1Values:
+    """Values are checked before the int64 cast: no truncation, no bools."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [1.5, -1.0, 1.0],
+            [1.9, -1, 1],
+            [1.0, -1.0, 1.0],
+            np.ones(4, dtype=bool),
+            np.array([1, -1, 1], dtype=object),
+            [2**70, 1, -1],
+        ],
+    )
+    def test_rejected_by_both_estimators(self, bad):
+        for fn in (autocorrelation, aperiodic_randomness):
+            with pytest.raises(ValueError, match="^sequence values must be \\+1 or -1$"):
+                fn(bad)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.int64])
+    def test_any_integer_dtype(self, rng, dtype):
+        vals = random_pm1(rng, 50)
+        if dtype is np.uint8:
+            vals = [1] * 50
+        arr = np.array(vals, dtype=dtype)
+        for convention in Convention:
+            got = autocorrelation(arr, convention).values
+            assert got.tolist() == autocorrelation(vals, convention).values.tolist()
+        assert aperiodic_randomness(arr) == aperiodic_randomness(vals)
