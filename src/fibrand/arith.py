@@ -119,19 +119,19 @@ def sieve_primes(limit: int) -> list[int]:
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return [int(p) for p in np.flatnonzero(flags)]
+    return np.flatnonzero(flags).tolist()
 
 
-# Cache of odd primes (3, 5, 7, 11, ...), grown on demand.  The list is never
-# mutated: growing it builds a new list and rebinds the name in one step, so a
-# reader that took the list into a local keeps a consistent prefix.  Racing
-# growers may leave a shorter list bound; that costs a later re-sieve, never a
+# Cache of odd primes (3, 5, 7, 11, ...), grown on demand.  The array is never
+# mutated: growing it builds a new array and rebinds the name in one step, so a
+# reader that took the array into a local keeps a consistent prefix.  Racing
+# growers may leave a shorter array bound; that costs a later re-sieve, never a
 # wrong answer.
-_odd_primes: list[int] = []
+_odd_primes = np.empty(0, dtype=np.int64)
 
 
-def _odd_primes_upto(count: int) -> list[int]:
-    """A list of at least ``count`` odd primes, ascending."""
+def _odd_primes_upto(count: int) -> np.ndarray:
+    """An int64 array of at least ``count`` odd primes, ascending."""
     global _odd_primes
     primes = _odd_primes
     if len(primes) >= count:
@@ -140,7 +140,7 @@ def _odd_primes_upto(count: int) -> list[int]:
     k = count + 1
     limit = 32 if k < 6 else int(k * (log(k) + log(log(k)))) + 16
     while True:
-        primes = sieve_primes(limit)[1:]
+        primes = np.array(sieve_primes(limit)[1:], dtype=np.int64)
         if len(primes) >= count:
             _odd_primes = primes
             return primes
@@ -154,7 +154,7 @@ def nth_prime(k: int) -> int:
     this enumeration is defined over odd primes only.
     """
     k = _check_int(k, "prime index", 1)
-    return _odd_primes_upto(k)[k - 1]
+    return int(_odd_primes_upto(k)[k - 1])
 
 
 def fib_mod(n: int, m: int) -> FibPair:

@@ -2,9 +2,9 @@
 
 Two constructions:
 
-* prime-indexed: walk the odd primes 3, 5, 7, ... and emit +1 when the
-  period falls in the p-1 family (p = 5 included there, since 20 = 5(p-1))
-  and -1 for the 2p+2 family;
+* prime-indexed: walk the odd primes 3, 5, 7, ... and emit +1 for the p-1
+  period family (p = 5 included, since 20 = 5(p-1)) and -1 for the 2p+2
+  family, read from the proven class theorem, not from a computed period;
 * general-moduli: walk consecutive integers m >= 2 and emit +1 when the
   period is a multiple of 8, else -1.
 
@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .arith import _check_int, nth_prime
-from .periods import pisano_period_prime, pisano_periods_range
+from .arith import _check_int, _odd_primes_upto
+from .periods import _CLASS_SIGN, _prime_class, pisano_periods_range
 
 __all__ = [
     "SequenceKind",
@@ -68,18 +68,16 @@ class BinarySequence:
 
 
 def prime_indexed_sequence(count: int, start_index: int = 1) -> BinarySequence:
-    """+1/-1 over ``count`` consecutive odd primes by period class.
+    """+1/-1 over ``count`` consecutive odd primes, by the proven class theorem.
 
     ``start_index`` is 1-based into the odd primes, so the default start is
     p = 3 and index 25 is p = 101.
     """
     count = _check_int(count, "count", 1)
-    start_index = _check_int(start_index, "start index", 1)
-    bits = tuple(
-        pisano_period_prime(nth_prime(i)).bit
-        for i in range(start_index, start_index + count)
-    )
-    return BinarySequence(bits, SequenceKind.PRIME_INDEXED, nth_prime(start_index))
+    first = _check_int(start_index, "start index", 1) - 1
+    primes = _odd_primes_upto(first + count)[first : first + count].tolist()
+    bits = tuple(_CLASS_SIGN[_prime_class(p)] for p in primes)
+    return BinarySequence(bits, SequenceKind.PRIME_INDEXED, primes[0])
 
 
 def general_moduli_sequence(count: int, start_modulus: int = 2) -> BinarySequence:

@@ -70,9 +70,7 @@ class PeriodRecord:
         """+1 for the p-1 family (including p = 5), -1 for the 2p+2 family."""
         if self.klass is None:
             raise ValueError(f"modulus {self.modulus} carries no class")
-        if self.klass is PrimeClass.DIVISOR_OF_2P_PLUS_2:
-            return -1
-        return 1
+        return _CLASS_SIGN[self.klass]
 
 
 class BoundCheck(NamedTuple):
@@ -104,13 +102,24 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
+_P_MINUS_1, _2P_PLUS_2, _FIVE = PrimeClass  # member lookup is slow on Python 3.11
+_CLASS_SIGN = {_P_MINUS_1: 1, _FIVE: 1, _2P_PLUS_2: -1}  # the sign of each family
+
+
+def _prime_class(p: int) -> PrimeClass:
+    """The divisor family of the odd prime p, a proven function of p mod 10."""
+    if p % 10 in (1, 9):
+        return _P_MINUS_1
+    return _FIVE if p == 5 else _2P_PLUS_2
+
+
 def _class_multiple(p: int) -> int:
-    """b(p), a multiple of the period of the prime p fixed by its last digit."""
+    """b(p), a multiple of the period of the prime p fixed by its class."""
     if p == 2:
         return 3
     if p == 5:
         return 20
-    return p - 1 if p % 10 in (1, 9) else 2 * p + 2
+    return p - 1 if _prime_class(p) is _P_MINUS_1 else 2 * p + 2
 
 
 def _period(m: int, factors: dict[int, int]) -> int:
@@ -149,26 +158,19 @@ def pisano_periods_range(m_max: int, m_min: int = 2) -> np.ndarray:
 
 
 def pisano_period_prime(p: int) -> PeriodRecord:
-    """Period of an odd prime without full iteration.
+    """Period of an odd prime by order-finding from its class multiple.
 
-    The period divides p-1 (last digit 1 or 9) or 2p+2 (last digit 3 or 7);
-    order-finding from that class multiple gives it.  Raises
-    ClassificationError if the class multiple is not a period.
+    Raises ClassificationError if the class multiple is not a period.
     """
     p = _check_int(p, "p")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 2:
         raise ValueError("2 is outside the two-class period structure")
-    if p == 5:
-        return PeriodRecord(5, 20, PrimeClass.SPECIAL_FIVE, "5(p-1)")
-    if p % 10 in (1, 9):
-        klass, base = PrimeClass.DIVISOR_OF_P_MINUS_1, "p-1"
-    else:
-        klass, base = PrimeClass.DIVISOR_OF_2P_PLUS_2, "2p+2"
+    klass = _prime_class(p)
     period = _period(p, {p: 1})
     ratio = _class_multiple(p) // period
-    label = base if ratio == 1 else f"({base})/{ratio}"
+    label = klass.value if ratio == 1 else f"({klass.value})/{ratio}"
     return PeriodRecord(p, period, klass, label)
 
 

@@ -60,8 +60,16 @@ def _as_pm1_array(seq) -> np.ndarray:
     vals = np.asarray(getattr(seq, "values", seq))
     if vals.ndim != 1 or vals.size < 2:
         raise ValueError("need a one-dimensional sequence of length >= 2")
-    # before the cast, which would turn 1.5 into 1; bool is not an integer dtype
-    if not np.issubdtype(vals.dtype, np.integer) or not np.all(np.abs(vals) == 1):
+    # before the cast, which would turn 1.5 into 1; bool is not an integer
+    # dtype, but asarray merges bools listed among ints into an integer array
+    if (
+        not np.issubdtype(vals.dtype, np.integer)
+        or not np.all(np.abs(vals) == 1)
+        or (
+            isinstance(seq, (list, tuple))
+            and any(isinstance(v, (bool, np.bool_)) for v in seq)
+        )
+    ):
         raise ValueError("sequence values must be +1 or -1")
     return vals.astype(np.int64, copy=False)
 

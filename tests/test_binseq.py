@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from fibrand import periods
+from fibrand.arith import sieve_primes
 from fibrand.binseq import (
     BinarySequence,
     SequenceKind,
@@ -9,6 +11,7 @@ from fibrand.binseq import (
     to_bit_string,
     to_lines,
 )
+from fibrand.periods import pisano_period_prime
 
 # sign column for the first 25 odd primes, frozen from the classification
 FIRST_25_SIGNS = (
@@ -46,6 +49,29 @@ class TestPrimeIndexed:
     def test_rejects_bad_arguments(self, count, start):
         with pytest.raises(ValueError):
             prime_indexed_sequence(count, start)
+
+    @pytest.mark.parametrize(
+        "count,start,limit",
+        [
+            (20_000, 1, 230_000),  # the first 2e4 odd primes
+            (1024, 99_000, 1_400_000),  # the range of the prime keys
+            (1024, 10**6 - 1023, 15_500_000),  # up to the 1e6 cap
+        ],
+    )
+    def test_matches_period_oracle(self, count, start, limit):
+        seq = prime_indexed_sequence(count, start)
+        primes = sieve_primes(limit)[start : start + count]  # [0] is 2
+        assert len(primes) == count and seq.start == primes[0]
+        assert seq.values == tuple(pisano_period_prime(p).bit for p in primes)
+
+    def test_computes_no_period(self, monkeypatch):
+        def no_period(*args):
+            raise AssertionError("the class theorem needs no period")
+
+        monkeypatch.setattr(periods, "_period", no_period)
+        monkeypatch.setattr(periods, "fib_mod", no_period)
+        assert prime_indexed_sequence(25).values == FIRST_25_SIGNS
+        assert prime_indexed_sequence(8, start_index=10**5).length == 8
 
 
 class TestGeneralModuli:

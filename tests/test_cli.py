@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
+from test_binseq import FIRST_25_SIGNS
 
-from fibrand import cli
+from fibrand import arith, cli
 from fibrand.cli import main
+from fibrand.stats import autocorrelation
 
 
 def run(capsys, *argv):
@@ -145,6 +148,53 @@ class TestKeygen:
     def test_bits_zero_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "keygen", "--bits", "0")
         assert code == 2
+
+
+class TestPrimeIndexedCaps:
+    """The prime-indexed commands at the 1e6 cap, each within a time budget."""
+
+    BUDGET_S = 10.0
+
+    @pytest.fixture(autouse=True)
+    def restore_prime_cache(self, monkeypatch):
+        # a cap run grows the shared odd-prime cache to 1e6 primes
+        monkeypatch.setattr(arith, "_odd_primes", arith._odd_primes)
+
+    def run_timed(self, capsys, *argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < self.BUDGET_S
+        assert code == 0, err
+        return out
+
+    def test_bits(self, capsys):
+        out = self.run_timed(capsys, "bits", "--kind", "primes", "--count", "1000000")
+        values = out.rstrip("\n").split(",")
+        assert len(values) == 10**6
+        assert tuple(int(v) for v in values[:25]) == FIRST_25_SIGNS
+
+    def test_keygen_hex(self, capsys):
+        out = self.run_timed(capsys, "keygen", "--bits", "1000000", "--format", "hex")
+        key = bytes.fromhex(out.strip())
+        assert len(key) == 10**6 // 8
+        assert key[0] == 0x52
+        bits = [(key[i // 8] >> (7 - i % 8)) & 1 for i in range(25)]
+        assert bits == [1 if v == 1 else 0 for v in FIRST_25_SIGNS]
+
+    def test_randomness(self, capsys, monkeypatch):
+        scored = []
+
+        def spy(seq, convention):
+            scored.append(seq)
+            return autocorrelation(seq, convention)
+
+        monkeypatch.setattr(cli, "autocorrelation", spy)
+        out = self.run_timed(
+            capsys, "randomness", "--kind", "primes", "--length", "1000000"
+        )
+        assert "n = 1000000" in out.splitlines()
+        assert out.splitlines()[-1].startswith("R = ")
+        assert scored[0].values[:25] == FIRST_25_SIGNS
 
 
 class TestVerify:

@@ -292,6 +292,10 @@ class TestPm1Values:
             np.ones(4, dtype=bool),
             np.array([1, -1, 1], dtype=object),
             [2**70, 1, -1],
+            [True, -1, 1],
+            [1, np.True_, -1],
+            (True, -1, 1),
+            (1, np.True_, -1),
         ],
     )
     def test_rejected_by_both_estimators(self, bad):
