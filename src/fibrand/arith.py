@@ -176,6 +176,31 @@ def fib_mod(n: int, m: int) -> FibPair:
     return FibPair(a, b)
 
 
+_BATCH_MODULUS_LIMIT = 2**31
+
+
+def _fib_mod_batch(n, m) -> tuple[np.ndarray, np.ndarray]:
+    """``fib_mod`` element-wise over int64 arrays (or scalars) n >= 0, m >= 2.
+
+    Fast doubling with one loop over the bits of the largest n: the leading
+    zero bits of a smaller n keep its pair at (0, 1).  Residues stay below
+    m < 2^31, so every product and sum stays below 2^63; numpy does not
+    report int64 overflow, hence the explicit bound on m.
+    """
+    n, m = np.broadcast_arrays(np.asarray(n, dtype=np.int64), np.asarray(m, dtype=np.int64))
+    if n.size and (n.min() < 0 or m.min() < 2 or m.max() >= _BATCH_MODULUS_LIMIT):
+        raise ValueError(f"batched fib_mod needs n >= 0 and m in [2, {_BATCH_MODULUS_LIMIT})")
+    a = np.zeros(n.shape, dtype=np.int64)
+    b = np.ones(n.shape, dtype=np.int64)
+    for i in range(int(n.max(initial=0)).bit_length() - 1, -1, -1):
+        c = a * ((2 * b - a) % m) % m
+        d = (a * a + b * b) % m
+        odd = (n >> i) & 1 == 1
+        a = np.where(odd, d, c)
+        b = np.where(odd, (c + d) % m, d)
+    return a, b
+
+
 def gh_term(params: GHParams, n: int, m: int) -> int:
     """n-th term of the (a, b) Gopala-Hemachandra sequence mod m.
 

@@ -71,10 +71,11 @@ def prime_indexed_sequence(count: int, start_index: int = 1) -> BinarySequence:
     """+1/-1 over ``count`` consecutive odd primes, by the proven class theorem.
 
     ``start_index`` is 1-based into the odd primes, so the default start is
-    p = 3 and index 25 is p = 101.
+    p = 3 and index 25 is p = 101.  It is capped at 1e6, like the CLI counts,
+    because the sieve behind it grows with start + count.
     """
     count = _check_int(count, "count", 1)
-    first = _check_int(start_index, "start index", 1) - 1
+    first = _check_int(start_index, "start index", 1, 10**6) - 1
     primes = _odd_primes_upto(first + count)[first : first + count].tolist()
     bits = tuple(_CLASS_SIGN[_prime_class(p)] for p in primes)
     return BinarySequence(bits, SequenceKind.PRIME_INDEXED, primes[0])
@@ -89,7 +90,7 @@ def general_moduli_sequence(count: int, start_modulus: int = 2) -> BinarySequenc
     count = _check_int(count, "count", 1)
     start_modulus = _check_int(start_modulus, "start modulus", 2)
     periods = pisano_periods_range(start_modulus + count - 1, start_modulus)
-    bits = tuple(1 if n % 8 == 0 else -1 for n in periods)
+    bits = tuple(np.where(periods % 8 == 0, 1, -1).tolist())
     return BinarySequence(bits, SequenceKind.GENERAL_MODULI, start_modulus)
 
 

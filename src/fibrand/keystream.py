@@ -8,6 +8,8 @@ the sign column of the underlying classification.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import GHParams, _check_int, gh_term
 from .binseq import SequenceKind, prime_indexed_sequence
 
@@ -69,13 +71,18 @@ def regenerate(origin: KeyOrigin) -> KeyMaterial:
 
 def pack_bits(bits) -> bytes:
     """Pack a bit list MSB-first; a final partial byte is zero-padded right."""
-    out = bytearray((len(bits) + 7) // 8)
-    for i, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError(f"bit {i} is {bit!r}, expected 0 or 1")
-        if bit:
-            out[i >> 3] |= 0x80 >> (i & 7)
-    return bytes(out)
+    try:
+        values = np.asarray(bits)
+    except ValueError:  # ragged nesting
+        values = None
+    if values is None or values.ndim != 1 or values.dtype.kind not in "biuf":
+        # compare element by element, as Python does
+        values = np.fromiter(bits, dtype=object, count=len(bits))
+    is_bit = (values == 0) | (values == 1)
+    if not is_bit.all():
+        i = int(np.argmin(is_bit))
+        raise ValueError(f"bit {i} is {bits[i]!r}, expected 0 or 1")
+    return np.packbits(values.astype(np.uint8)).tobytes()
 
 
 def gh_residue_stream(

@@ -4,6 +4,8 @@ from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fibrand import arith
 from fibrand.arith import (
@@ -159,6 +161,32 @@ class TestFibMod:
             fib_mod(3, 1)
         with pytest.raises(ValueError):
             fib_mod(3, 0)
+
+
+class TestFibModBatch:
+    """The int64 fast doubling behind the range scan, against scalar fib_mod."""
+
+    # the edges m = 2^31 - 1 (largest accepted modulus) and n = 0 ride along
+    EDGES = [(0, 2**31 - 1), (2**40 - 1, 2**31 - 1), (0, 2), (1, 2**31 - 1)]
+
+    @given(st.lists(st.tuples(st.integers(0, 2**40 - 1), st.integers(2, 2**31 - 1)),
+                    max_size=40))
+    def test_matches_fib_mod(self, pairs):
+        n, m = np.array(self.EDGES + pairs, dtype=np.int64).T
+        f_n, f_n1 = arith._fib_mod_batch(n, m)
+        assert list(zip(f_n.tolist(), f_n1.tolist())) == [
+            tuple(fib_mod(a, b)) for a, b in zip(n.tolist(), m.tolist())
+        ]
+
+    def test_broadcasts_a_scalar_modulus(self):
+        f_n, f_n1 = arith._fib_mod_batch(np.arange(40), 1000)
+        assert f_n.tolist() == fib_residues(1000, 39)
+        assert f_n1.tolist() == fib_residues(1000, 40)[1:]
+
+    @pytest.mark.parametrize("n,m", [(5, 2**31), ([5, 6], [7, 2**31]), (5, 1), (-1, 7)])
+    def test_rejects_out_of_range(self, n, m):
+        with pytest.raises(ValueError, match="batched fib_mod"):
+            arith._fib_mod_batch(n, m)
 
 
 class TestGhTerm:

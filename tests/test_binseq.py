@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fibrand import periods
+from fibrand import arith, periods
 from fibrand.arith import sieve_primes
 from fibrand.binseq import (
     BinarySequence,
@@ -49,6 +49,13 @@ class TestPrimeIndexed:
     def test_rejects_bad_arguments(self, count, start):
         with pytest.raises(ValueError):
             prime_indexed_sequence(count, start)
+
+    def test_start_index_capped_at_1e6(self, monkeypatch):
+        # a start of 1e6 grows the shared odd-prime cache to 1e6 primes
+        monkeypatch.setattr(arith, "_odd_primes", arith._odd_primes)
+        assert prime_indexed_sequence(1, 10**6).start == 15485867  # the 1e6-th odd prime
+        with pytest.raises(ValueError, match=r"start index must be in \[1, 1000000\], got 1000001"):
+            prime_indexed_sequence(1, 10**6 + 1)
 
     @pytest.mark.parametrize(
         "count,start,limit",

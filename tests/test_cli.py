@@ -8,7 +8,9 @@ import pytest
 from test_binseq import FIRST_25_SIGNS
 
 from fibrand import arith, cli
+from fibrand.binseq import general_moduli_sequence
 from fibrand.cli import main
+from fibrand.periods import expected_equality_moduli
 from fibrand.stats import autocorrelation
 
 
@@ -195,6 +197,67 @@ class TestPrimeIndexedCaps:
         assert "n = 1000000" in out.splitlines()
         assert out.splitlines()[-1].startswith("R = ")
         assert scored[0].values[:25] == FIRST_25_SIGNS
+
+
+class TestPrimeIndexedStartCap:
+    """The prime-indexed --start is capped at 1e6, like the counts."""
+
+    @pytest.fixture(autouse=True)
+    def restore_prime_cache(self, monkeypatch):
+        monkeypatch.setattr(arith, "_odd_primes", arith._odd_primes)
+
+    def test_accepts_1e6(self, capsys):
+        code, out, _ = run(capsys, "keygen", "--bits", "8", "--start", "1000000",
+                           "--format", "hex")
+        assert code == 0 and len(out.strip()) == 2
+        code, out, _ = run(capsys, "bits", "--kind", "primes", "--count", "1",
+                           "--start", "1000000")
+        assert code == 0 and out.strip() in ("1", "-1")
+
+    @pytest.mark.parametrize("argv", [
+        ["keygen", "--bits", "8"],
+        ["bits", "--kind", "primes", "--count", "8"],
+        ["randomness", "--kind", "primes", "--length", "8"],
+    ])
+    def test_rejects_past_1e6(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--start", "1000001")
+        assert code == 2 and out == ""
+        assert err == "error: start index must be in [1, 1000000], got 1000001\n"
+
+
+class TestGeneralCaps:
+    """The general-moduli commands at the 1e6 cap, each within a time budget."""
+
+    BUDGET_S = 10.0
+
+    def run_timed(self, capsys, *argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < self.BUDGET_S
+        assert code == 0, err
+        return out
+
+    def test_bits(self, capsys):
+        out = self.run_timed(capsys, "bits", "--kind", "general", "--count", "1000000")
+        values = out.rstrip("\n").split(",")
+        assert len(values) == 10**6
+        assert tuple(int(v) for v in values[:25]) == general_moduli_sequence(25).values
+
+    def test_randomness(self, capsys):
+        out = self.run_timed(
+            capsys, "randomness", "--kind", "general", "--length", "1000000"
+        )
+        assert "n = 1000000" in out.splitlines()
+        assert out.splitlines()[-1].startswith("R = ")
+
+    def test_verify_bound(self, capsys):
+        out = self.run_timed(capsys, "verify", "--suite", "bound", "--limit", "1000000")
+        equality = expected_equality_moduli(10**6)
+        assert equality[-1] == 2 * 5**8
+        assert out == (
+            "bound: pass (period <= 6m for all m <= 1000000; "
+            f"equality exactly at {equality})\n"
+        )
 
 
 class TestVerify:

@@ -54,6 +54,13 @@ class TestKeygen:
         with pytest.raises(ValueError):
             keygen_from_primes(0)
 
+    def test_start_index_capped_at_1e6(self):
+        message = r"start index must be in \[1, 1000000\], got 1000001"
+        with pytest.raises(ValueError, match=message):
+            keygen_from_primes(8, 10**6 + 1)
+        with pytest.raises(ValueError, match=message):
+            regenerate(KeyOrigin(SequenceKind.PRIME_INDEXED, 10**6 + 1, 8))
+
 
 class TestPackBits:
     @pytest.mark.parametrize(
@@ -68,6 +75,33 @@ class TestPackBits:
     )
     def test_packing(self, bits, expected):
         assert pack_bits(bits) == expected
+
+    @staticmethod
+    def packed_by_loop(bits):
+        out = bytearray((len(bits) + 7) // 8)
+        for i, bit in enumerate(bits):
+            out[i >> 3] |= bit << (7 - (i & 7))
+        return bytes(out)
+
+    def test_matches_bit_loop(self, rng):
+        for n in list(range(18)) + [rng.randrange(18, 3000) for _ in range(20)]:
+            bits = tuple(rng.randrange(2) for _ in range(n))
+            assert pack_bits(bits) == self.packed_by_loop(bits), n
+        key = keygen_from_primes(1024, 99000)
+        assert key.to_bytes() == self.packed_by_loop(key.bits)
+
+    @pytest.mark.parametrize(
+        "bits,index",
+        [([0, "1"], 1), (["1", 0], 0), ([1, 1, None], 2), ([0, 0.5], 1),
+         ((1, 0, -1), 2), ([0, 2**70], 1), ([[1, 0], [1, 0]], 0)],
+    )
+    def test_names_the_first_bad_bit(self, bits, index):
+        with pytest.raises(ValueError, match=rf"^bit {index} is .*, expected 0 or 1$"):
+            pack_bits(bits)
+
+    def test_accepts_bools_and_numpy_bits(self):
+        assert pack_bits([True, False, True]) == b"\xa0"
+        assert pack_bits(np.array([1, 0, 1], dtype=np.uint8)) == b"\xa0"
 
     def test_round_trip_whole_bytes(self, rng):
         for _ in range(20):

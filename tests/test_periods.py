@@ -1,12 +1,19 @@
+import subprocess
+import sys
+from math import isqrt
+
 import numpy as np
 import pytest
 
+from fibrand import periods
 from fibrand.arith import fib_mod, sieve_primes
 from fibrand.periods import (
     BRUTE_FORCE_MODULUS_CAP,
     ClassificationError,
     PrimeClass,
     _class_multiple,
+    _factorize,
+    _period,
     expected_equality_moduli,
     gh_period,
     pisano_period_bruteforce,
@@ -85,6 +92,72 @@ class TestBatchedRange:
             pisano_periods_range(1)
         with pytest.raises(ValueError):
             pisano_periods_range(10, m_min=20)
+
+
+class TestBatchedEngine:
+    """The factor / batched order search / lift engine against _period."""
+
+    @pytest.mark.parametrize("primes", [
+        [p for p in sieve_primes(20000) if p != 2],
+        [p for p in sieve_primes(10**6) if p >= 999000],
+    ])
+    def test_prime_periods_match_scalar(self, primes):
+        small = sieve_primes(isqrt(max(primes) + 1))
+        got = periods._prime_periods(np.array(primes, dtype=np.int64), small)
+        assert got.tolist() == [pisano_period_prime(p).period for p in primes]
+
+    @pytest.mark.parametrize("m_min,m_max", [(2, 20000), (59000, 61023), (998977, 10**6)])
+    def test_range_matches_order_search(self, m_min, m_max):
+        assert pisano_periods_range(m_max, m_min).tolist() == [
+            _period(m, _factorize(m)) for m in range(m_min, m_max + 1)
+        ]
+
+    def test_range_past_the_pair_iteration_cap(self):
+        # a count of 1e6 from the default start 2 ends at 1e6 + 1
+        m_max = 10**6 + 200
+        assert pisano_periods_range(m_max, 10**6 - 100).tolist() == [
+            _period(m, _factorize(m)) for m in range(10**6 - 100, m_max + 1)
+        ]
+        with pytest.raises(ValueError, match="m_max"):
+            pisano_periods_range(2 * 10**6 + 1, 2 * 10**6)
+
+    def test_failed_lift_check_falls_back(self, monkeypatch):
+        real_lifts, real_period = periods._wall_lifts, periods._period
+        scalar = []
+
+        def lifts_fail_at_3_and_7(p, period):
+            return real_lifts(p, period) & (p != 3) & (p != 7)
+
+        def spy(m, factors):
+            scalar.append(m)
+            return real_period(m, factors)
+
+        monkeypatch.setattr(periods, "_wall_lifts", lifts_fail_at_3_and_7)
+        monkeypatch.setattr(periods, "_period", spy)
+        got = pisano_periods_range(600).tolist()
+        assert got == [pisano_period_bruteforce(m) for m in range(2, 601)]
+        assert scalar == [m for m in range(2, 601) if m % 9 == 0 or m % 49 == 0]
+        scalar.clear()
+        assert pisano_periods_range(3**5, 3**5).tolist() == [pisano_period_bruteforce(3**5)]
+        assert scalar == [3**5]
+
+    @pytest.mark.parametrize("m_min,m_max", [(2, 100), (59000, 59100)])
+    def test_wrong_class_multiple_raises(self, monkeypatch, m_min, m_max):
+        monkeypatch.setattr(
+            "fibrand.periods._class_multiple", lambda q: _class_multiple(q) // 2
+        )
+        with pytest.raises(ClassificationError, match="is not a period of"):
+            pisano_periods_range(m_max, m_min)
+
+    def test_imports_no_numpy_ma(self):
+        # np.unique would import numpy.ma, about 1.6 MB of resident memory
+        code = (
+            "import sys; from fibrand import general_moduli_sequence; "
+            "general_moduli_sequence(1000, 59000); print('numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout == "False\n"
 
 
 class TestPrimeClassification:
